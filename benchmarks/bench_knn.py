@@ -2,8 +2,12 @@
 
 The paper lists nearest/k-nearest queries among the similarity-query
 variants (section 2) and cites [Chi94] for vp-tree k-NN; this bench
-measures the distance computations of the best-first k-NN search on the
-clustered workload, where locality makes k-NN tractable.
+measures the distance computations of the k-NN search on the clustered
+workload, where locality makes k-NN tractable.  The vp-tree expands one
+tree level per batched round; the mvp-tree keeps a frontier ordered by
+lower bound, descends to the nearest leaf first, and then expands only
+the near half of the admitted bound window per round (see
+``repro.indexes.kernels``).
 """
 
 import numpy as np

@@ -1,32 +1,41 @@
 """Array-backed frontier kernels for the tree indexes.
 
-The recursive searches in :mod:`repro.indexes.vptree`,
-:mod:`repro.core.mvptree` and :mod:`repro.core.gmvptree` evaluate one
-vantage-point distance per Python call frame, which puts the interpreter
-— not the metric — on the hot path and serialises the whole traversal
-on the GIL.  The kernels here run the same searches level-synchronously:
-every wave batches *all* of its vantage-point distances through one
-``_batch_dist`` call, applies the paper's section 4.3 pruning bounds as
-numpy boolean masks over the whole frontier, and gathers the surviving
-leaf candidates into a single batched distance computation.
+These are the search paths of :class:`~repro.indexes.vptree.VPTree`,
+:class:`~repro.core.mvptree.MVPTree` and
+:class:`~repro.core.gmvptree.GMVPTree` (and of their ``.rsx``
+store-backed twins).  A per-node recursion would evaluate one
+vantage-point distance per Python call frame, which puts the
+interpreter — not the metric — on the hot path.  The kernels instead
+expand *sets* of nodes: each round batches all of the set's
+vantage-point distances through one ``_batch_dist`` call, applies the
+paper's section 4.3 pruning bounds as numpy boolean masks, and gathers
+the surviving leaf candidates into a single batched distance
+computation.
 
-Semantics are preserved exactly:
+How a round's set is chosen:
 
-* every metric evaluation still goes through the counting gateway
+* range search is level-synchronous: a round is a whole tree level.
+  Range pruning decisions do not depend on visit order, so the node set
+  is the one a depth-first walk of section 4.3 visits;
+* vp-tree k-NN is level-synchronous too, with the k-th-distance
+  threshold refreshed once per level.  A stale threshold can only admit
+  extra nodes, never drop a true answer;
+* mvp/gmvp-tree k-NN orders a persistent frontier by lower bound
+  (:class:`_Frontier`): a greedy descent to the nearest leaf seeds the
+  threshold, then each round expands only the near half of the admitted
+  bound window.  This pays close to the distance count of a one-node-
+  per-step best-first search with a handful of batched rounds.
+
+Semantics are exact:
+
+* every metric evaluation goes through the counting gateway
   (``_dist`` / ``_batch_dist``), so ``QueryStats.distance_calls``
-  equals the :class:`~repro.metric.base.CountingMetric` delta as before;
-* range search visits the *identical* node set as the recursion —
-  range pruning decisions are independent of visit order — so range
-  ``QueryStats`` match the legacy walk counter for counter;
-* k-NN keeps the exact answer set and ``(distance, id)`` tie-breaks.
-  The running k-th-distance threshold is refreshed once per wave rather
-  than per node, which can only *loosen* pruning (a stale threshold
-  admits extra candidates, never drops true answers), so batched k-NN
-  may pay slightly more distance computations than the strictly
-  sequential best-first order in exchange for vectorised execution;
-* prune accounting is unchanged in total, but one trace event may now
-  carry ``count > 1`` where the recursion emitted ``count`` unit events
-  (the same aggregation :meth:`Observation.filter_points` already uses).
+  equals the :class:`~repro.metric.base.CountingMetric` delta;
+* k-NN keeps the exact answer set and ``(distance, id)`` tie-breaks:
+  the k-best set is determined by values alone, and an entry is dropped
+  only once its bound definitely exceeds the k-th distance;
+* one prune trace event may carry ``count > 1`` (the same aggregation
+  :meth:`Observation.filter_points` uses).
 
 Tree structure is flattened into numpy arrays once per index and cached
 on the instance (``_kernel_cache``); mutating structures
@@ -39,6 +48,7 @@ vectorised comparisons never see them as prunable (and never produce
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -74,7 +84,7 @@ def _slack_of(values: np.ndarray) -> np.ndarray:
 
 
 def _shell_miss(dq, radius: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vectorised shell-intersection test of the recursive walks.
+    """Vectorised shell-intersection test of the range searches.
 
     True where ``definitely_greater(dq - radius, hi)`` or
     ``definitely_less(dq + radius, lo)`` — the query ball provably misses
@@ -93,9 +103,9 @@ def _admitted(bounds: np.ndarray, approximation: float, threshold: float) -> np.
 class _KBest:
     """Running k-best set with exact ``(distance, id)`` tie-breaks.
 
-    Same max-heap-via-negation the recursive searches use; the k-best
-    set is determined by the item values alone, so insertion order (and
-    therefore wave order) cannot change the final answer.
+    A max-heap via negation; the k-best set is determined by the item
+    values alone, so insertion order (and therefore expansion order)
+    cannot change the final answer.
     """
 
     __slots__ = ("k", "heap")
@@ -189,8 +199,7 @@ def _vp_arrays(tree) -> _VPArrays:
 
 
 def vp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int]:
-    """Level-synchronous vp-tree range search (visits the exact node set
-    of :meth:`VPTree._range`, with identical stats)."""
+    """Level-synchronous vp-tree range search (section 3.3, m-way)."""
     arrays = _vp_arrays(tree)
     objects = tree._objects
     hits: list[np.ndarray] = []
@@ -354,6 +363,7 @@ class _MVPArrays:
         "root_kind",
         "root_idx",
         "sizes",
+        "leaf_table",
     )
 
 
@@ -423,8 +433,8 @@ def _mvp_wave_roots(arrays):
 
 
 def _grow_paths(paths: np.ndarray, level: int, p: int, cols: list) -> np.ndarray:
-    """Append this wave's vantage-point distances to the query's PATH
-    prefix (the recursion's ``path_q[level + t - 1] = dq[t]`` updates)."""
+    """Append this level's vantage-point distances to the query's PATH
+    prefix (``path_q[level + t - 1] = dq[t]`` wherever ``level + t <= p``)."""
     added = [c[:, None] for t, c in enumerate(cols) if level + t <= p]
     if not added:
         return paths
@@ -432,8 +442,9 @@ def _grow_paths(paths: np.ndarray, level: int, p: int, cols: list) -> np.ndarray
 
 
 def mvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int]:
-    """Level-synchronous mvp-tree range search (paper section 4.3),
-    visiting the exact node set of :meth:`MVPTree._range`."""
+    """Level-synchronous mvp-tree range search (paper section 4.3): the
+    shell filters on both vantage points, then the D1/D2 and PATH
+    precomputed-distance filters in the leaves (step 2.2)."""
     if tree._root is None:
         return []
     arrays = _mvp_arrays(tree)
@@ -545,148 +556,6 @@ def mvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[in
     return out
 
 
-def mvp_knn(
-    tree, query, k: int, approximation: float, obs: Optional[Observation]
-) -> list[Neighbor]:
-    """Wave-batched best-first mvp-tree k-NN (exact answers)."""
-    if tree._root is None:
-        return []
-    arrays = _mvp_arrays(tree)
-    objects = tree._objects
-    p = tree.p
-    best = _KBest(k)
-    iidx, ipaths, lidx, lpaths = _mvp_wave_roots(arrays)
-    ib = np.zeros(iidx.size)
-    lb = np.zeros(lidx.size)
-    level = 1
-
-    while iidx.size or lidx.size:
-        threshold = best.threshold()
-        ialive = _admitted(ib, approximation, threshold)
-        lalive = _admitted(lb, approximation, threshold)
-        if obs is not None:
-            stale = int(np.count_nonzero(~ialive)) + int(np.count_nonzero(~lalive))
-            if stale:
-                obs.prune(PRUNE_KNN_RADIUS, stale)
-        iidx, ipaths, ib = iidx[ialive], ipaths[ialive], ib[ialive]
-        lidx, lpaths = lidx[lalive], lpaths[lalive]
-        n_int = iidx.size
-        leaf_nodes = [arrays.leaves[j] for j in lidx.tolist()]
-        if not n_int and not leaf_nodes:
-            break
-        if obs is not None:
-            for _ in range(n_int):
-                obs.enter_internal()
-            for node in leaf_nodes:
-                obs.enter_leaf(len(node.ids))
-
-        leaf_vp1 = np.asarray([n.vp1_id for n in leaf_nodes], dtype=np.intp)
-        leaf_has_vp2 = np.asarray(
-            [n.vp2_id is not None for n in leaf_nodes], dtype=bool
-        )
-        leaf_vp2 = np.asarray(
-            [n.vp2_id for n in leaf_nodes if n.vp2_id is not None], dtype=np.intp
-        )
-        all_vps = np.concatenate([arrays.vp1[iidx], arrays.vp2[iidx], leaf_vp1, leaf_vp2])
-        dall = np.asarray(
-            tree._batch_dist(obs, gather(objects, all_vps), query), dtype=np.float64
-        )
-        best.consider_many(dall.tolist(), all_vps.tolist())
-        dq1, dq2 = dall[:n_int], dall[n_int : 2 * n_int]
-        ld1 = dall[2 * n_int : 2 * n_int + len(leaf_nodes)]
-        ld2 = np.full(len(leaf_nodes), np.nan)
-        ld2[leaf_has_vp2] = dall[2 * n_int + len(leaf_nodes) :]
-
-        # Leaf scans: precomputed-distance lower bounds select the scan
-        # set against the post-vantage-point threshold, one batch pays
-        # all surviving candidates.
-        threshold = best.threshold()
-        candidate_arrays: list[np.ndarray] = []
-        for w, node in enumerate(leaf_nodes):
-            if node.vp2_id is None or len(node.ids) == 0:
-                continue
-            lower = np.maximum(np.abs(node.d1 - ld1[w]), np.abs(node.d2 - ld2[w]))
-            if node.path_len:
-                lower = np.maximum(
-                    lower,
-                    np.max(
-                        np.abs(node.paths - lpaths[w, : node.path_len]),
-                        axis=1,
-                        initial=0.0,
-                    ),
-                )
-            scan = _admitted(lower, approximation, threshold)
-            scanned = int(np.count_nonzero(scan))
-            if obs is not None:
-                obs.filter_points(PRUNE_KNN_RADIUS, len(node.ids) - scanned)
-                obs.leaf_scan(len(node.ids), scanned)
-            if scanned:
-                candidate_arrays.append(np.asarray(node.ids, dtype=np.intp)[scan])
-        if candidate_arrays:
-            candidates = (
-                candidate_arrays[0]
-                if len(candidate_arrays) == 1
-                else np.concatenate(candidate_arrays)
-            )
-            distances = np.asarray(
-                tree._batch_dist(obs, gather(objects, candidates), query),
-                dtype=np.float64,
-            )
-            best.consider_many(distances.tolist(), candidates.tolist())
-
-        if n_int:
-            child_paths = _grow_paths(ipaths, level, p, [dq1, dq2])
-            threshold = best.threshold()
-            bound1 = np.maximum(
-                np.maximum(
-                    ib[:, None], dq1[:, None] - arrays.b1hi[iidx]
-                ),
-                np.maximum(arrays.b1lo[iidx] - dq1[:, None], 0.0),
-            )
-            kind = arrays.child_kind[iidx]
-            exists = kind != _NONE
-            keep1 = _admitted(bound1, approximation, threshold)
-            if obs is not None:
-                pruned = int(np.count_nonzero(~keep1 & exists.any(axis=2)))
-                if pruned:
-                    obs.prune(PRUNE_VP1_SHELL, pruned)
-            bound = np.maximum(
-                np.maximum(
-                    bound1[:, :, None], dq2[:, None, None] - arrays.b2hi[iidx]
-                ),
-                arrays.b2lo[iidx] - dq2[:, None, None],
-            )
-            alive1 = exists & keep1[:, :, None]
-            keep = _admitted(bound, approximation, threshold)
-            if obs is not None:
-                pruned = int(np.count_nonzero(alive1 & ~keep))
-                if pruned:
-                    obs.prune(PRUNE_VP2_SHELL, pruned)
-            admit = alive1 & keep
-            w_sel, i_sel, j_sel = np.nonzero(admit)
-            child_kinds = kind[w_sel, i_sel, j_sel]
-            child_slots = arrays.child_idx[iidx][w_sel, i_sel, j_sel]
-            child_bounds = bound[w_sel, i_sel, j_sel]
-            rows = child_paths[w_sel]
-            internal_sel = child_kinds == _INTERNAL
-            iidx, ipaths, ib = (
-                child_slots[internal_sel],
-                rows[internal_sel],
-                child_bounds[internal_sel],
-            )
-            lidx, lpaths, lb = (
-                child_slots[~internal_sel],
-                rows[~internal_sel],
-                child_bounds[~internal_sel],
-            )
-        else:
-            iidx, ipaths, ib = _EMPTY_IDS, np.empty((0, 0)), _EMPTY_F64
-            lidx, lpaths, lb = _EMPTY_IDS, np.empty((0, 0)), _EMPTY_F64
-        level += 2
-
-    return best.sorted_neighbors()
-
-
 # ----------------------------------------------------------------------
 # gmvp-tree: flattened internal structure + kernels
 # ----------------------------------------------------------------------
@@ -705,6 +574,7 @@ class _GMVPArrays:
         "root_kind",
         "root_idx",
         "sizes",
+        "leaf_table",
     )
 
 
@@ -766,8 +636,8 @@ def _gmvp_leaf_distances(leaf_nodes, dall, offset):
 
 
 def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[int]:
-    """Level-synchronous gmvp-tree range search, visiting the exact node
-    set of :meth:`GMVPTree._range`."""
+    """Level-synchronous gmvp-tree range search (section 4.3 with ``v``
+    vantage points per node)."""
     arrays = _gmvp_arrays(tree)
     objects = tree._objects
     p = tree.p
@@ -855,7 +725,7 @@ def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[i
             if obs is not None:
                 pruned = exists & any_miss
                 if pruned.any():
-                    # First-bound-wins attribution, as in the recursion.
+                    # First-bound-wins attribution.
                     first_t = np.argmax(miss_t, axis=2)
                     for t in range(v):
                         count = int(np.count_nonzero(pruned & (first_t == t)))
@@ -878,154 +748,353 @@ def gmvp_range(tree, query, radius: float, obs: Optional[Observation]) -> list[i
     return out
 
 
+# ----------------------------------------------------------------------
+# mvp/gmvp-tree k-NN: bound-ordered frontier
+# ----------------------------------------------------------------------
+
+
+class _Frontier:
+    """Pending mvp/gmvp k-NN nodes, kept across expansion rounds.
+
+    One row per node the search still has to open: its kind and slot,
+    its section 4.3 lower bound, its tree level and its PATH row.  PATH
+    rows are padded to width ``p`` (NaN beyond the node's prefix) so that
+    entries from different levels share one array.
+
+    :meth:`pop` hands out the next expansion set.  While fewer than ``k``
+    candidates are known (threshold = inf) it is the single entry with
+    the smallest bound: a greedy root-to-leaf descent that seeds the
+    threshold.  After that it is every entry in the near half of the
+    admitted window, ``bound <= b_min + (threshold / approx - b_min) / 2``.
+    Far entries wait while the near ones tighten the threshold, and are
+    then usually dropped without ever paying for their vantage points.
+    """
+
+    __slots__ = ("kind", "idx", "bound", "level", "paths")
+
+    def __init__(self, root_kind: int, root_idx: int, p: int):
+        self.kind = np.array([root_kind], dtype=np.int8)
+        self.idx = np.array([root_idx], dtype=np.intp)
+        self.bound = np.zeros(1)
+        self.level = np.ones(1, dtype=np.intp)
+        self.paths = np.full((1, p), np.nan)
+
+    def _columns(self):
+        return self.kind, self.idx, self.bound, self.level, self.paths
+
+    def _keep(self, mask: np.ndarray) -> None:
+        self.kind, self.idx, self.bound, self.level, self.paths = (
+            column[mask] for column in self._columns()
+        )
+
+    def pop(self, threshold: float, approximation: float, obs: Optional[Observation]):
+        """Drop the entries ``threshold`` rules out (``PRUNE_KNN_RADIUS``),
+        then remove and return the expansion set as column arrays, or
+        ``None`` once nothing is left."""
+        alive = _admitted(self.bound, approximation, threshold)
+        if not alive.all():
+            if obs is not None:
+                obs.prune(PRUNE_KNN_RADIUS, int(np.count_nonzero(~alive)))
+            self._keep(alive)
+        if not self.bound.size:
+            return None
+        b_min = float(self.bound.min())
+        if threshold == float("inf"):
+            take = np.zeros(self.bound.size, dtype=bool)
+            take[int(np.argmin(self.bound))] = True
+        else:
+            take = self.bound <= b_min + max(threshold / approximation - b_min, 0.0) / 2
+        picked = tuple(column[take] for column in self._columns())
+        self._keep(~take)
+        return picked
+
+    def push(self, kind, idx, bound, level, paths) -> None:
+        self.kind, self.idx, self.bound, self.level, self.paths = (
+            np.concatenate([old, new])
+            for old, new in zip(self._columns(), (kind, idx, bound, level, paths))
+        )
+
+
+def _fill_paths(
+    paths: np.ndarray, levels: np.ndarray, p: int, dq: np.ndarray
+) -> np.ndarray:
+    """Padded-row form of :func:`_grow_paths`: copy the parents' PATH rows
+    and write vantage point ``t``'s distance ``dq[:, t]`` at column
+    ``level + t - 1`` wherever ``level + t <= p``."""
+    out = paths.copy()
+    rows = np.arange(levels.size)
+    for t in range(dq.shape[1]):
+        fits = levels + t <= p
+        out[rows[fits], levels[fits] + t - 1] = dq[fits, t]
+    return out
+
+
+class _LeafTable:
+    """Every leaf of an mvp/gmvp tree in flat, padded arrays.
+
+    ``vps[j]`` holds leaf ``j``'s vantage points (-1 padded); its points
+    are rows ``offsets[j]:offsets[j + 1]`` of ``ids``, of ``dists`` (the
+    precomputed distance to each leaf vantage point) and of ``paths``
+    (the PATH prefix).  ``dists`` and ``paths`` are NaN beyond what the
+    leaf stores, and ``np.fmax`` skips NaN, so one round's leaf filters
+    run over all of its leaves at once.
+    """
+
+    __slots__ = ("vps", "offsets", "ids", "dists", "paths")
+
+
+def _segment_rows(offsets: np.ndarray, segments: np.ndarray):
+    """Concatenated row numbers of ``segments`` in an offsets table,
+    plus each segment's size."""
+    starts = offsets[segments]
+    sizes = offsets[segments + 1] - starts
+    first_row = np.cumsum(sizes) - sizes
+    rows = np.arange(int(sizes.sum())) + np.repeat(starts - first_row, sizes)
+    return rows, sizes
+
+
+def _leaf_table(arrays, p: int, width: int, leaf_vps, leaf_dists) -> _LeafTable:
+    """Build (once) and cache the :class:`_LeafTable` of a tree;
+    ``leaf_vps(node)`` lists a leaf's vantage points and
+    ``leaf_dists(node)`` its ``(n_vps, n_points)`` distance rows."""
+    cached = getattr(arrays, "leaf_table", None)
+    if cached is not None:
+        return cached
+    leaves = arrays.leaves
+    table = _LeafTable()
+    table.vps = np.array(
+        [[*vps, *[-1] * (width - len(vps))] for vps in map(leaf_vps, leaves)],
+        dtype=np.intp,
+    ).reshape(len(leaves), width)
+    sizes = [len(node.ids) for node in leaves]
+    table.offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.intp)])
+    table.paths = np.full((int(table.offsets[-1]), p), np.nan)
+    full = [j for j, size in enumerate(sizes) if size]
+    if not full:
+        table.ids, table.dists = _EMPTY_IDS, np.empty((0, width))
+        arrays.leaf_table = table
+        return table
+    table.ids = np.fromiter(
+        itertools.chain.from_iterable(leaves[j].ids for j in full),
+        dtype=np.intp,
+        count=int(table.offsets[-1]),
+    )
+    # A leaf that holds points has all ``width`` vantage points.
+    rows_of = [leaf_dists(leaves[j]) for j in full]
+    table.dists = np.stack(
+        [np.concatenate([rows[t] for rows in rows_of]) for t in range(width)], axis=1
+    ).astype(np.float64, copy=False)
+    by_length: dict[int, list[int]] = {}
+    for j in full:
+        by_length.setdefault(leaves[j].path_len, []).append(j)
+    for length, group in by_length.items():
+        if length:
+            rows = _segment_rows(table.offsets, np.asarray(group, dtype=np.intp))[0]
+            table.paths[rows, :length] = np.concatenate(
+                [leaves[j].paths for j in group]
+            )
+    arrays.leaf_table = table
+    return table
+
+
+def _scan_table(
+    tree, query, best: _KBest, table: _LeafTable, lidx, ldq, lpaths,
+    approximation: float, obs: Optional[Observation],
+) -> None:
+    """Leaf step of one round: lower-bound every point of the selected
+    leaves by its precomputed and PATH distances (paper step 2.2), keep
+    those admitted against the current k-th distance, and verify them
+    with one batched call."""
+    rows, sizes = _segment_rows(table.offsets, lidx)
+    if not rows.size:
+        return
+    leaf_of = np.repeat(np.arange(lidx.size), sizes)
+    lower = np.fmax(
+        np.fmax.reduce(np.abs(table.dists[rows] - ldq[leaf_of]), axis=1, initial=0),
+        np.fmax.reduce(np.abs(table.paths[rows] - lpaths[leaf_of]), axis=1, initial=0),
+    )
+    scan = _admitted(lower, approximation, best.threshold())
+    if obs is not None:
+        scanned = np.bincount(leaf_of[scan], minlength=lidx.size)
+        for size, count in zip(sizes.tolist(), scanned.tolist()):
+            if size:
+                obs.filter_points(PRUNE_KNN_RADIUS, size - count)
+                obs.leaf_scan(size, count)
+    candidates = table.ids[rows[scan]]
+    if candidates.size:
+        distances = np.asarray(
+            tree._batch_dist(obs, gather(tree._objects, candidates), query),
+            dtype=np.float64,
+        )
+        best.consider_many(distances.tolist(), candidates.tolist())
+
+
+def _frontier_knn(
+    tree, query, k, approximation, obs, arrays, table, internal_vps, expand
+) -> list[Neighbor]:
+    """The shared mvp/gmvp k-NN loop (see :class:`_Frontier`).
+
+    Each round pops an expansion set, pays all of its vantage-point
+    distances in one batch, scans its leaves (:func:`_scan_table`), and
+    pushes the admitted children of its internal nodes.
+    ``internal_vps(iidx)`` gives the ``(n, v)`` vantage points of
+    internal slots; ``expand(iidx, bounds, dq, threshold)`` returns the
+    admitted children as ``(parent_row, kind, slot, bound)`` arrays.
+    """
+    p = tree.p
+    best = _KBest(k)
+    frontier = _Frontier(arrays.root_kind, arrays.root_idx, p)
+    while True:
+        picked = frontier.pop(best.threshold(), approximation, obs)
+        if picked is None:
+            break
+        kinds, idxs, bounds, levels, paths = picked
+        inner = kinds == _INTERNAL
+        iidx, lidx = idxs[inner], idxs[~inner]
+        if obs is not None:
+            for _ in range(iidx.size):
+                obs.enter_internal()
+            for j in lidx.tolist():
+                obs.enter_leaf(int(table.offsets[j + 1] - table.offsets[j]))
+
+        ivps = internal_vps(iidx)
+        lvps = table.vps[lidx]
+        has = lvps >= 0
+        all_vps = np.concatenate([ivps.ravel(), lvps[has]])
+        dall = np.asarray(
+            tree._batch_dist(obs, gather(tree._objects, all_vps), query),
+            dtype=np.float64,
+        )
+        best.consider_many(dall.tolist(), all_vps.tolist())
+        dq = dall[: ivps.size].reshape(ivps.shape)
+        ldq = np.full(lvps.shape, np.nan)
+        ldq[has] = dall[ivps.size :]
+
+        _scan_table(
+            tree, query, best, table, lidx, ldq, paths[~inner], approximation, obs
+        )
+
+        if iidx.size:
+            levels = levels[inner]
+            parent, kind, slot, bound = expand(
+                iidx, bounds[inner], dq, best.threshold()
+            )
+            child_paths = _fill_paths(paths[inner], levels, p, dq)
+            frontier.push(
+                kind, slot, bound, levels[parent] + dq.shape[1], child_paths[parent]
+            )
+    return best.sorted_neighbors()
+
+
+def mvp_knn(
+    tree, query, k: int, approximation: float, obs: Optional[Observation]
+) -> list[Neighbor]:
+    """Bound-ordered mvp-tree k-NN (exact answers; see :class:`_Frontier`)."""
+    if tree._root is None:
+        return []
+    arrays = _mvp_arrays(tree)
+    table = _leaf_table(
+        arrays,
+        tree.p,
+        2,
+        lambda node: [node.vp1_id] + ([] if node.vp2_id is None else [node.vp2_id]),
+        lambda node: (node.d1, node.d2),
+    )
+
+    def expand(iidx, ib, dq, threshold):
+        dq1, dq2 = dq[:, :1], dq[:, 1:2]
+        bound1 = np.maximum(
+            np.maximum(ib[:, None], dq1 - arrays.b1hi[iidx]),
+            np.maximum(arrays.b1lo[iidx] - dq1, 0.0),
+        )
+        kind = arrays.child_kind[iidx]
+        exists = kind != _NONE
+        keep1 = _admitted(bound1, approximation, threshold)
+        if obs is not None:
+            pruned = int(np.count_nonzero(~keep1 & exists.any(axis=2)))
+            if pruned:
+                obs.prune(PRUNE_VP1_SHELL, pruned)
+        bound = np.maximum(
+            np.maximum(bound1[:, :, None], dq2[:, :, None] - arrays.b2hi[iidx]),
+            arrays.b2lo[iidx] - dq2[:, :, None],
+        )
+        alive1 = exists & keep1[:, :, None]
+        keep = _admitted(bound, approximation, threshold)
+        if obs is not None:
+            pruned = int(np.count_nonzero(alive1 & ~keep))
+            if pruned:
+                obs.prune(PRUNE_VP2_SHELL, pruned)
+        sel = np.nonzero(alive1 & keep)
+        return sel[0], kind[sel], arrays.child_idx[iidx][sel], bound[sel]
+
+    return _frontier_knn(
+        tree,
+        query,
+        k,
+        approximation,
+        obs,
+        arrays,
+        table,
+        lambda iidx: np.stack([arrays.vp1[iidx], arrays.vp2[iidx]], axis=1),
+        expand,
+    )
+
+
 def gmvp_knn(
     tree, query, k: int, approximation: float, obs: Optional[Observation]
 ) -> list[Neighbor]:
-    """Wave-batched best-first gmvp-tree k-NN (exact answers)."""
+    """Bound-ordered gmvp-tree k-NN (exact answers; see :class:`_Frontier`)."""
     arrays = _gmvp_arrays(tree)
-    objects = tree._objects
-    p = tree.p
     v = tree.v
-    best = _KBest(k)
-    if arrays.root_kind == _INTERNAL:
-        iidx = np.array([arrays.root_idx], dtype=np.intp)
-        ipaths = np.empty((1, 0))
-        lidx, lpaths = _EMPTY_IDS, np.empty((0, 0))
-    else:
-        iidx, ipaths = _EMPTY_IDS, np.empty((0, 0))
-        lidx = np.array([arrays.root_idx], dtype=np.intp)
-        lpaths = np.empty((1, 0))
-    ib = np.zeros(iidx.size)
-    lb = np.zeros(lidx.size)
-    level = 1
+    table = _leaf_table(
+        arrays, tree.p, v, lambda node: node.vp_ids, lambda node: node.dists
+    )
 
-    while iidx.size or lidx.size:
-        threshold = best.threshold()
-        ialive = _admitted(ib, approximation, threshold)
-        lalive = _admitted(lb, approximation, threshold)
-        if obs is not None:
-            stale = int(np.count_nonzero(~ialive)) + int(np.count_nonzero(~lalive))
-            if stale:
-                obs.prune(PRUNE_KNN_RADIUS, stale)
-        iidx, ipaths, ib = iidx[ialive], ipaths[ialive], ib[ialive]
-        lidx, lpaths = lidx[lalive], lpaths[lalive]
-        n_int = iidx.size
-        leaf_nodes = [arrays.leaves[j] for j in lidx.tolist()]
-        if not n_int and not leaf_nodes:
-            break
-        if obs is not None:
-            for _ in range(n_int):
-                obs.enter_internal()
-            for node in leaf_nodes:
-                obs.enter_leaf(len(node.ids))
-
-        leaf_vps = (
-            np.concatenate([np.asarray(n.vp_ids, dtype=np.intp) for n in leaf_nodes])
-            if leaf_nodes
-            else _EMPTY_IDS
+    def expand(iidx, ib, dq, threshold):
+        shells = np.maximum(
+            dq[:, None, :] - arrays.bhi[iidx], arrays.blo[iidx] - dq[:, None, :]
         )
-        all_vps = np.concatenate([arrays.vp_ids[iidx].ravel(), leaf_vps])
-        dall = np.asarray(
-            tree._batch_dist(obs, gather(objects, all_vps), query), dtype=np.float64
-        )
-        best.consider_many(dall.tolist(), all_vps.tolist())
-        dq = dall[: n_int * v].reshape(n_int, v)
-        leaf_dq = _gmvp_leaf_distances(leaf_nodes, dall, n_int * v)
-
-        threshold = best.threshold()
-        candidate_arrays: list[np.ndarray] = []
-        for w, node in enumerate(leaf_nodes):
-            if len(node.ids) == 0:
-                continue
-            lower = np.zeros(len(node.ids))
-            for t in range(len(node.vp_ids)):
-                lower = np.maximum(lower, np.abs(node.dists[t] - leaf_dq[w][t]))
-            if node.path_len:
-                lower = np.maximum(
-                    lower,
-                    np.max(
-                        np.abs(node.paths - lpaths[w, : node.path_len]),
-                        axis=1,
-                        initial=0.0,
-                    ),
-                )
-            scan = _admitted(lower, approximation, threshold)
-            scanned = int(np.count_nonzero(scan))
-            if obs is not None:
-                obs.filter_points(PRUNE_KNN_RADIUS, len(node.ids) - scanned)
-                obs.leaf_scan(len(node.ids), scanned)
-            if scanned:
-                candidate_arrays.append(np.asarray(node.ids, dtype=np.intp)[scan])
-        if candidate_arrays:
-            candidates = (
-                candidate_arrays[0]
-                if len(candidate_arrays) == 1
-                else np.concatenate(candidate_arrays)
-            )
-            distances = np.asarray(
-                tree._batch_dist(obs, gather(objects, candidates), query),
-                dtype=np.float64,
-            )
-            best.consider_many(distances.tolist(), candidates.tolist())
-
-        if n_int:
-            child_paths = _grow_paths(ipaths, level, p, [dq[:, t] for t in range(v)])
-            threshold = best.threshold()
-            shells = np.maximum(
-                dq[:, None, :] - arrays.bhi[iidx], arrays.blo[iidx] - dq[:, None, :]
-            )
-            shell_max = shells.max(axis=2)
-            bound = np.maximum(ib[:, None], shell_max)
-            kind = arrays.child_kind[iidx]
-            exists = kind != _NONE
-            keep = _admitted(bound, approximation, threshold)
-            if obs is not None:
-                pruned = exists & ~keep
-                if pruned.any():
-                    # Attribute each prune to the decisive vantage point
-                    # (first index achieving the max shell bound), or to
-                    # the inherited bound when no shell tightened it.
-                    decisive = shell_max > ib[:, None]
-                    first_t = np.argmax(shells, axis=2)
-                    for t in range(v):
-                        count = int(
-                            np.count_nonzero(pruned & decisive & (first_t == t))
-                        )
-                        if count:
-                            obs.prune(vp_shell_kind(t), count)
-                    count = int(np.count_nonzero(pruned & ~decisive))
+        shell_max = shells.max(axis=2)
+        bound = np.maximum(ib[:, None], shell_max)
+        kind = arrays.child_kind[iidx]
+        exists = kind != _NONE
+        keep = _admitted(bound, approximation, threshold)
+        if obs is not None:
+            pruned = exists & ~keep
+            if pruned.any():
+                # Attribute each prune to the decisive vantage point
+                # (first index achieving the max shell bound), or to
+                # the inherited bound when no shell tightened it.
+                decisive = shell_max > ib[:, None]
+                first_t = np.argmax(shells, axis=2)
+                for t in range(v):
+                    count = int(np.count_nonzero(pruned & decisive & (first_t == t)))
                     if count:
-                        obs.prune(PRUNE_KNN_RADIUS, count)
-            admit = exists & keep
-            w_sel, c_sel = np.nonzero(admit)
-            child_kinds = kind[w_sel, c_sel]
-            child_slots = arrays.child_idx[iidx][w_sel, c_sel]
-            child_bounds = bound[w_sel, c_sel]
-            rows = child_paths[w_sel]
-            internal_sel = child_kinds == _INTERNAL
-            iidx, ipaths, ib = (
-                child_slots[internal_sel],
-                rows[internal_sel],
-                child_bounds[internal_sel],
-            )
-            lidx, lpaths, lb = (
-                child_slots[~internal_sel],
-                rows[~internal_sel],
-                child_bounds[~internal_sel],
-            )
-        else:
-            iidx, ipaths, ib = _EMPTY_IDS, np.empty((0, 0)), _EMPTY_F64
-            lidx, lpaths, lb = _EMPTY_IDS, np.empty((0, 0)), _EMPTY_F64
-        level += v
+                        obs.prune(vp_shell_kind(t), count)
+                count = int(np.count_nonzero(pruned & ~decisive))
+                if count:
+                    obs.prune(PRUNE_KNN_RADIUS, count)
+        sel = np.nonzero(exists & keep)
+        return sel[0], kind[sel], arrays.child_idx[iidx][sel], bound[sel]
 
-    return best.sorted_neighbors()
+    return _frontier_knn(
+        tree,
+        query,
+        k,
+        approximation,
+        obs,
+        arrays,
+        table,
+        lambda iidx: arrays.vp_ids[iidx],
+        expand,
+    )
 
 
 # ----------------------------------------------------------------------
 # Budgeted best-first traversal (the approximate tier, repro.approx)
 # ----------------------------------------------------------------------
 #
-# The wave kernels above expand a whole frontier level per batch; the
+# The exact kernels above expand a set of nodes per batch; the
 # budgeted kernels instead pop one frontier entry at a time from a
 # priority queue ordered by the entry's section 4.3 lower bound (ties
 # broken by insertion sequence, so traversal order is deterministic).
@@ -1271,7 +1340,7 @@ class _MVPApprox:
 
     Entries carry ``(kind, slot, level, path)`` where ``path`` is the
     tuple of ancestor vantage-point distances accumulated so far (the
-    recursion's ``path_q`` prefix, grown exactly like :func:`_grow_paths`).
+    query's PATH prefix, grown exactly like :func:`_grow_paths`).
     """
 
     __slots__ = ("arrays", "p", "internal_sizes", "leaf_sizes")

@@ -555,6 +555,8 @@ def index_from_dict(data: dict, objects: Sequence, metric: Metric) -> MetricInde
         # __new__ bypassed __init__: the replica-table lock must be
         # recreated here or restored managers crash on first search.
         manager._replicas_lock = threading.Lock()
+        manager._mutations = 0
+        manager._ingest_failures = 0
         manager._shard_ids = [
             [int(gid) for gid in ids] for ids in data["shard_ids"]
         ]

@@ -392,7 +392,11 @@ class QueryEngine:
         inject a recorder to test schedules without waiting.
     result_cache_size:
         Capacity of the LRU whole-answer cache (0 disables it).  Only
-        exact, non-degraded answers are cached.
+        exact, non-degraded answers are cached.  Over a
+        :class:`ShardManager` each entry carries the manager's
+        ``mutation_count`` from when its query was dispatched; after an
+        ``insert``/``delete`` the entry no longer matches and the lookup
+        counts as a miss.
     distance_cache:
         The :class:`DistanceCacheMetric` the index's shards were built
         over, if any; the engine binds it to each unit's stats so cache
@@ -786,8 +790,18 @@ class QueryEngine:
                 raise
         return futures
 
+    def _generation(self) -> Optional[int]:
+        """The manager's mutation count, read only when results are cached."""
+        if self.result_cache is None or not isinstance(self.index, ShardManager):
+            return None
+        return self.index.mutation_count
+
     def _cached_result(
-        self, qi: int, query: Query, miss_stats: dict[int, QueryStats]
+        self,
+        qi: int,
+        query: Query,
+        miss_stats: dict[int, QueryStats],
+        generation: Optional[int],
     ) -> Optional[QueryResult]:
         if self.result_cache is None:
             return None
@@ -796,6 +810,11 @@ class QueryEngine:
             return None
         hit = self.result_cache.get(key)
         stats = QueryStats()
+        if hit is not None:
+            # An answer cached before a later insert/delete is stale.
+            hit_generation, hit = hit
+            if hit_generation != generation:
+                hit = None
         if hit is None:
             stats.result_cache_misses += 1
             # Remember the miss so the gathered result reports it.
@@ -852,6 +871,7 @@ class QueryEngine:
         futures: list[Future],
         deadline: Optional[float],
         miss_stats: dict[int, QueryStats],
+        generation: Optional[int],
     ) -> QueryResult:
         """Assemble one query's result from its unit futures.
 
@@ -978,7 +998,7 @@ class QueryEngine:
                 payload = tuple(result.value)
                 if result.approx is not None:
                     payload = (payload, result.approx)
-                self.result_cache.put(key, payload)
+                self.result_cache.put(key, (generation, payload))
         return result
 
     def run_batch(
@@ -996,10 +1016,13 @@ class QueryEngine:
         deadline_s = self.timeout if timeout is None else timeout
         start = time.perf_counter()
         miss_stats: dict[int, QueryStats] = {}
+        # Read before any unit is dispatched: an answer is never tagged
+        # with a generation newer than the data it was computed from.
+        generation = self._generation()
         results: list[Optional[QueryResult]] = [None] * len(queries)
         submitted: list[tuple[int, Query, list[Future], Optional[float]]] = []
         for qi, query in enumerate(queries):
-            cached = self._cached_result(qi, query, miss_stats)
+            cached = self._cached_result(qi, query, miss_stats, generation)
             if cached is not None:
                 results[qi] = cached
                 continue
@@ -1009,7 +1032,9 @@ class QueryEngine:
             )
             submitted.append((qi, query, futures, deadline))
         for qi, query, futures, deadline in submitted:
-            results[qi] = self._gather(qi, query, futures, deadline, miss_stats)
+            results[qi] = self._gather(
+                qi, query, futures, deadline, miss_stats, generation
+            )
         final = [result for result in results if result is not None]
         return BatchResult(
             results=final,

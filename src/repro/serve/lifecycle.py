@@ -28,10 +28,19 @@ replicas mid-roll).
 from __future__ import annotations
 
 import threading
-from typing import Optional
+import traceback
+from typing import NamedTuple, Optional
 
 from repro._util import RngLike, as_rng
 from repro.serve.sharding import ShardManager
+
+
+class CoordinatorError(NamedTuple):
+    """A failed background maintenance pass, as the thread recorded it."""
+
+    type: str
+    message: str
+    traceback: str
 
 
 class RebuildCoordinator:
@@ -89,6 +98,9 @@ class RebuildCoordinator:
         self._rng = as_rng(rng)
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        self._errors_lock = threading.Lock()
+        self._error_count = 0  # guarded-by: _errors_lock
+        self._last_error: Optional[CoordinatorError] = None  # guarded-by: _errors_lock
 
     # ------------------------------------------------------------------
     # Churn accounting
@@ -214,16 +226,41 @@ class RebuildCoordinator:
         summary["rebuilt"] = rebuilt
         return summary
 
+    @property
+    def error_count(self) -> int:
+        """Background passes that raised (see :meth:`start`)."""
+        with self._errors_lock:
+            return self._error_count
+
+    @property
+    def last_error(self) -> Optional[CoordinatorError]:
+        """Type, message and traceback of the latest failed pass."""
+        with self._errors_lock:
+            return self._last_error
+
     def start(self, interval_s: float = 1.0) -> None:
         """Run :meth:`run_once` on a background daemon thread until
-        :meth:`stop`.  One coordinator, one thread."""
+        :meth:`stop`.  One coordinator, one thread.
+
+        A pass that raises does not end the thread: the failure is
+        counted in :attr:`error_count`, kept as :attr:`last_error`, and
+        the next pass runs at the next interval.
+        """
         if self._thread is not None:
             raise RuntimeError("coordinator already started")
         self._stop.clear()
 
         def loop() -> None:
             while not self._stop.wait(interval_s):
-                self.run_once()
+                try:
+                    self.run_once()
+                except Exception as exc:
+                    error = CoordinatorError(
+                        type(exc).__name__, str(exc), traceback.format_exc()
+                    )
+                    with self._errors_lock:
+                        self._error_count += 1
+                        self._last_error = error
 
         self._thread = threading.Thread(
             target=loop, name="rebuild-coordinator", daemon=True

@@ -297,6 +297,8 @@ class ShardManager(MetricIndex):
         # back to the shard memtable) — health signal; see the
         # ingest_failure_count property.
         self._ingest_failures = 0  # guarded-by: _replicas_lock
+        # Bumped by every insert()/delete(); see mutation_count.
+        self._mutations = 0  # guarded-by: _replicas_lock
         generator = as_rng(rng)
         # Guards every replica/id table below against worker threads
         # reading slots while drop_replica()/recover()/swap_replica()
@@ -433,6 +435,13 @@ class ShardManager(MetricIndex):
         """The gid the next :meth:`insert` will assign."""
         with self._replicas_lock:
             return len(self._objects) + len(self._tail)
+
+    @property
+    def mutation_count(self) -> int:
+        """Monotone count of applied :meth:`insert`/:meth:`delete` calls;
+        result caches tag answers with it to detect staleness."""
+        with self._replicas_lock:
+            return self._mutations
 
     @property
     def ingest_failure_count(self) -> int:
@@ -634,6 +643,7 @@ class ShardManager(MetricIndex):
                     buffered = True
             if buffered:
                 self._memtables[shard].append(gid)
+            self._mutations += 1
         return gid
 
     def delete(self, gid: int) -> None:
@@ -662,6 +672,7 @@ class ShardManager(MetricIndex):
                     if isinstance(index, DynamicMVPTree):
                         index.delete(slot.ids.index(gid))
                     slot.dead.add(gid)
+            self._mutations += 1
 
     # ------------------------------------------------------------------
     # Fault simulation, recovery, and atomic rebuild swaps

@@ -6,6 +6,7 @@ and floor gates, epoch bumps per rolled replica, split/merge triggers,
 and the background-thread driver.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -216,3 +217,37 @@ class TestBackgroundDriver:
         assert coordinator.churned_shards() == []
         assert verify_shard_manager(manager) == []
         assert_exact(manager, ledger, [ledger[1], ledger[4]])
+
+    def test_failed_pass_is_recorded_and_the_thread_keeps_running(
+        self, deployment
+    ):
+        manager, _ = deployment
+        coordinator = RebuildCoordinator(manager, rng=0)
+        calls = []
+        recovered = threading.Event()
+
+        def flaky_run_once():
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("disk full during rebuild")
+            recovered.set()
+            return {}
+
+        coordinator.run_once = flaky_run_once
+        assert (coordinator.error_count, coordinator.last_error) == (0, None)
+        coordinator.start(interval_s=0.01)
+        try:
+            assert recovered.wait(timeout=10.0)
+            assert coordinator._thread.is_alive()
+        finally:
+            coordinator.stop()
+        assert coordinator.error_count == 1
+        error = coordinator.last_error
+        assert (error.type, error.message) == (
+            "RuntimeError",
+            "disk full during rebuild",
+        )
+        assert "flaky_run_once" in error.traceback
+        assert error.traceback.rstrip().endswith(
+            "RuntimeError: disk full during rebuild"
+        )

@@ -15,7 +15,8 @@ import pytest
 
 from repro import LinearScan, Neighbor
 from repro.metric import L2
-from repro.serve import ShardManager
+from repro.persist import index_from_dict, index_to_dict
+from repro.serve import Query, QueryEngine, ShardManager
 from repro.store.sharded import save_shard_stores
 
 
@@ -87,6 +88,57 @@ class TestInsertDelete:
         assert_exact(manager, ledger, [ledger[g] for g in manager.live_ids()[:3]])
         assert len(manager.live_ids()) == 48
         assert len(manager.removed_ids()) == 12
+
+
+class TestResultCacheAfterMutation:
+    """A cached answer computed before an insert/delete is never served."""
+
+    @staticmethod
+    def _knn(engine, query, k=1):
+        return engine.run_batch([Query.knn(query, k)]).results[0]
+
+    def test_insert_invalidates_cached_knn(self, tracked):
+        manager, ledger = tracked
+        query = np.random.default_rng(1).random(10)
+        with QueryEngine(manager, workers=2, result_cache_size=16) as engine:
+            before = self._knn(engine, query)
+            assert self._knn(engine, query).from_cache
+            gid = manager.insert(query)  # at distance 0 from the query
+            ledger[gid] = query
+            after = self._knn(engine, query)
+            assert not after.from_cache
+            assert after.neighbors == manager.knn_search(query, 1)
+            assert after.neighbors[0].id == gid != before.neighbors[0].id
+            # The fresh answer is cached again under the new generation.
+            assert self._knn(engine, query).from_cache
+
+    def test_delete_invalidates_cached_knn_and_range(self, tracked):
+        manager, ledger = tracked
+        query = ledger[4]
+        with QueryEngine(manager, workers=2, result_cache_size=16) as engine:
+            assert self._knn(engine, query).neighbors[0].id == 4
+            engine.run_batch([Query.range(query, 0.5)])
+            manager.delete(4)
+            del ledger[4]
+            knn = self._knn(engine, query)
+            ranged = engine.run_batch([Query.range(query, 0.5)]).results[0]
+            assert not knn.from_cache and not ranged.from_cache
+            assert knn.neighbors == manager.knn_search(query, 1)
+            assert 4 not in ranged.ids
+            assert ranged.ids == manager.range_search(query, 0.5)
+
+    def test_mutation_count_is_monotone_and_persisted_fresh(self, tracked):
+        manager, _ = tracked
+        assert manager.mutation_count == 0
+        gid = manager.insert(np.zeros(10))
+        manager.delete(gid)
+        with pytest.raises(KeyError):
+            manager.delete(gid)  # refused deletes change nothing
+        assert manager.mutation_count == 2
+        restored = index_from_dict(
+            index_to_dict(manager), manager._objects, manager.metric
+        )
+        assert (restored.mutation_count, restored.ingest_failure_count) == (0, 0)
 
 
 class TestMemtableTieBreaks:
